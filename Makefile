@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction.
 PY ?= python
 
-.PHONY: test bench bench-gate chaos trace serve fleet monitor memprofile compile longctx report examples all clean
+.PHONY: test bench bench-gate perfbench-smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
 
 test:
 	$(PY) -m pytest tests/
@@ -14,6 +14,17 @@ bench:
 # (docs/observability.md).  Exits non-zero naming any drifted metric.
 bench-gate:
 	$(PY) -m repro bench --output-dir . --check
+
+# Host-clock benchmark smoke run: every BENCHMARK.json workload for a
+# few seconds (README "Host-clock benchmark"); fails on a wrong result
+# (correct: false) or any failed unit.
+perfbench-smoke:
+	@for w in $$($(PY) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		echo "== perfbench $$w"; \
+		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1 | \
+		$(PY) -c "import json, sys; r = json.loads(sys.stdin.read()); print('correct', r['correct'], 'failed', r['failed']); sys.exit(0 if r['correct'] and r['failed'] == 0 else 1)" || exit 1; \
+	done
+	@echo "perfbench smoke: every workload correct, 0 failed"
 
 # Fault-injection suite plus seeded chaos campaigns with end-to-end
 # bitwise verification of recovery (see docs/resilience.md).

@@ -5,29 +5,18 @@ tape, on the two regimes that bracket it — a deep elementwise chain
 floor (2x on the chain) lives in the ``substrate`` bench preset; this
 benchmark prints the same ratios for local inspection."""
 
-import time
-
 import numpy as np
 
 from repro.compiler import CaptureRecorder, PlanRuntime, capture_scope
 from repro.config import ModelConfig
 from repro.layers import GPTModel
+from repro.observability.timing import best_of_interleaved
 from repro.tensor import Tensor, seed
 from repro.tensor import functions as F
 from repro.training import Trainer, UniformTokens
 
 CFG = ModelConfig(num_layers=2, hidden_size=64, num_heads=4,
                   seq_length=32, vocab_size=64, name="compiler-bench")
-
-
-def _best_of(fns, reps=9):
-    best = [float("inf")] * len(fns)
-    for _ in range(reps):
-        for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
 
 
 def bench_chain_replay_vs_eager(benchmark):
@@ -49,7 +38,7 @@ def bench_chain_replay_vs_eager(benchmark):
     plan = recorder.finalize(runtime=PlanRuntime())
 
     benchmark.pedantic(plan.replay, rounds=9, iterations=1, warmup_rounds=2)
-    eager_s, replay_s = _best_of([chain, plan.replay])
+    eager_s, replay_s = best_of_interleaved([chain, plan.replay], reps=9)
     print(f"\n600-op chain: eager {1e3 * eager_s:.2f} ms, "
           f"replay {1e3 * replay_s:.2f} ms (x{eager_s / replay_s:.2f})")
     assert plan.replays > 0
@@ -67,7 +56,7 @@ def bench_train_step_replay_vs_eager(benchmark):
 
     benchmark.pedantic(lambda: compiled.train_step(ids, targets),
                        rounds=5, iterations=1, warmup_rounds=1)
-    eager_s, replay_s = _best_of(
+    eager_s, replay_s = best_of_interleaved(
         [lambda: eager.train_step(ids, targets),
          lambda: compiled.train_step(ids, targets)], reps=5)
     print(f"\nGPT train step: eager {1e3 * eager_s:.2f} ms, "

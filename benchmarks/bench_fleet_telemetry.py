@@ -13,12 +13,11 @@ Timing uses best-of-N wall-clock minima interleaved across arms, the
 standard noise-robust estimator for a deterministic workload.
 """
 
-import time
-
 from repro.config import ModelConfig
 from repro.fleet import build_fleet
 from repro.fleet.router import FleetRouter
 from repro.observability import FlightRecorder, RequestTracker, SLOMonitor
+from repro.observability.timing import best_of_interleaved
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.serving import generate_requests
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -52,18 +51,6 @@ def _loop(telemetry=False):
     fleet.run(_specs())
 
 
-def _best_of_interleaved(fns, repeats=REPEATS):
-    """Best-of-N minima, arms interleaved so a host load spike hits all
-    arms alike instead of biasing whichever ran during it."""
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
-
-
 def _noop(self, *args, **kw):
     return None
 
@@ -76,7 +63,7 @@ def bench_disabled_overhead(benchmark, monkeypatch):
         with _stripped_seams(monkeypatch):
             _loop()
 
-    reference, disabled = _best_of_interleaved([stripped, _loop])
+    reference, disabled = best_of_interleaved([stripped, _loop], REPEATS)
     overhead = disabled / reference - 1.0
     print(f"\nreference (no seams) {reference * 1e3:.1f} ms, "
           f"disabled telemetry {disabled * 1e3:.1f} ms, "
@@ -112,8 +99,8 @@ def bench_enabled_cost(benchmark):
     the same ratio under the ignored ``timing.`` tolerance."""
     _loop()
     _loop(telemetry=True)
-    disabled, enabled = _best_of_interleaved(
-        [_loop, lambda: _loop(telemetry=True)])
+    disabled, enabled = best_of_interleaved(
+        [_loop, lambda: _loop(telemetry=True)], REPEATS)
     print(f"\ndisabled {disabled * 1e3:.1f} ms, "
           f"enabled {enabled * 1e3:.1f} ms "
           f"({enabled / disabled:.2f}x)")

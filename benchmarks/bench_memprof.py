@@ -13,12 +13,11 @@ Timing uses best-of-N wall-clock minima interleaved across arms, the
 standard noise-robust estimator for a deterministic workload.
 """
 
-import time
-
 from repro.config import ModelConfig
 from repro.layers.module import Module
 from repro.layers.transformer import Recompute
 from repro.observability.memprof import profile_layer
+from repro.observability.timing import best_of_interleaved
 
 CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4,
                   seq_length=32, vocab_size=64, name="bench-memprof")
@@ -49,18 +48,6 @@ def _forward():
 def _profiled():
     for _ in range(INNER):
         profile_layer(CFG, 1, 2, True, Recompute.NONE)
-
-
-def _best_of_interleaved(fns, repeats=REPEATS):
-    """Best-of-N minima, arms interleaved so a host load spike hits all
-    arms alike instead of biasing whichever ran during it."""
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
 
 
 def _stripped_apply(fn, *args, **kwargs):
@@ -137,7 +124,7 @@ def bench_disabled_overhead(benchmark, monkeypatch):
         with _stripped_seams(monkeypatch):
             _forward()
 
-    reference, disabled = _best_of_interleaved([stripped, _forward])
+    reference, disabled = best_of_interleaved([stripped, _forward], REPEATS)
     overhead = disabled / reference - 1.0
     print(f"\nreference (no seams) {reference * 1e3:.2f} ms, "
           f"disabled profiler {disabled * 1e3:.2f} ms, "
@@ -155,7 +142,7 @@ def bench_enabled_cost(benchmark):
     ratio under the ignored ``timing.`` tolerance."""
     _forward()
     _profiled()
-    disabled, enabled = _best_of_interleaved([_forward, _profiled])
+    disabled, enabled = best_of_interleaved([_forward, _profiled], REPEATS)
     print(f"\ndisabled {disabled * 1e3:.2f} ms, "
           f"enabled {enabled * 1e3:.2f} ms "
           f"({enabled / disabled:.2f}x)")

@@ -8,14 +8,13 @@ This benchmark enforces that contract: a training loop with tracing
 stripped back to their pre-observability form, and it reports (without
 bounding) what *enabled* tracing costs.
 
-Timing uses best-of-N wall-clock minima, the standard noise-robust
-estimator for a deterministic workload.
+Timing uses best-of-N wall-clock minima interleaved across arms, the
+standard noise-robust estimator for a deterministic workload.
 """
-
-import time
 
 from repro.config import ModelConfig
 from repro.observability import MetricsRegistry, Tracer, trace_scope
+from repro.observability.timing import best_of_interleaved
 from repro.parallel.transformer import ParallelGPTModel
 from repro.tensor import seed
 from repro.tensor.context import ctx
@@ -47,15 +46,6 @@ def _loop(tracer=None):
         for _ in range(STEPS):
             ids, targets = data.batch(4)
             trainer.train_step(ids, targets, num_microbatches=2)
-
-
-def _best_of(fn, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _legacy_log_gemm(self, name, flops_per_rank, bytes_moved=0.0):
@@ -95,15 +85,16 @@ def bench_disabled_overhead(benchmark, monkeypatch):
     """Hooks present but tracing off vs hooks stripped: < 5% apart."""
     # Reference: strip the tracer seams from the autograd logging sites
     # (the hot path — hundreds of calls per step).
-    monkeypatch.setattr(FnCtx, "log_gemm", _legacy_log_gemm)
-    monkeypatch.setattr(FnCtx, "log_elementwise", _legacy_log_elementwise)
-    monkeypatch.setattr(FnCtx, "log_comm", _legacy_log_comm)
-    _loop()  # warm both code paths before timing
-    reference = _best_of(_loop)
-    monkeypatch.undo()
+    def stripped():
+        with monkeypatch.context() as mp:
+            mp.setattr(FnCtx, "log_gemm", _legacy_log_gemm)
+            mp.setattr(FnCtx, "log_elementwise", _legacy_log_elementwise)
+            mp.setattr(FnCtx, "log_comm", _legacy_log_comm)
+            _loop()
 
+    stripped()  # warm both code paths before timing
     _loop()
-    disabled = _best_of(_loop)
+    reference, disabled = best_of_interleaved([stripped, _loop], REPEATS)
 
     overhead = disabled / reference - 1.0
     print(f"\nreference (no hooks) {reference * 1e3:.1f} ms, "
@@ -120,8 +111,8 @@ def bench_enabled_cost(benchmark):
     """What full tracing costs, reported for the record (not bounded —
     enabled tracing legitimately prices every op on the cost models)."""
     _loop()
-    disabled = _best_of(_loop)
-    enabled = _best_of(lambda: _loop(Tracer(metrics=MetricsRegistry())))
+    disabled, enabled = best_of_interleaved(
+        [_loop, lambda: _loop(Tracer(metrics=MetricsRegistry()))], REPEATS)
     print(f"\ndisabled {disabled * 1e3:.1f} ms, "
           f"enabled {enabled * 1e3:.1f} ms "
           f"({enabled / disabled:.2f}x)")

@@ -248,12 +248,16 @@ class ScaleMaskSoftmaxDropout(Function):
             y_list = [bk.AbstractArray(shape) for _ in range(world)]
         else:
             for r, xi in enumerate(x):
-                _, masked_tril = self._keep(shape, r)
+                keep_tril, masked_tril = self._keep(shape, r)
                 t = arena.take(shape)
                 np.multiply(xi, self.scale, out=t)
                 np.copyto(t, _MASKED_VALUE, where=masked_tril)
                 np.subtract(t, np.max(t, axis=-1, keepdims=True), out=t)
-                np.exp(t, out=t)
+                # exp(-1e9 - rowmax) underflows to +0.0 on NumPy's slow
+                # path; every row keeps its diagonal, so rowmax is finite
+                # and writing the zeros directly is bitwise the same.
+                np.exp(t, out=t, where=keep_tril)
+                np.copyto(t, 0.0, where=masked_tril)
                 y = np.empty(shape)
                 np.divide(t, np.sum(t, axis=-1, keepdims=True), out=y)
                 arena.give(t)

@@ -24,6 +24,7 @@ all-reduces over the group.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional
 
 import numpy as np
@@ -244,7 +245,9 @@ class LongContextGPTModel(Module):
                                   attention_dropout=attention_dropout,
                                   hidden_dropout=hidden_dropout, seed=seed,
                                   mask_source=mask_source)
-            weights = _harvest_serial_weights(serial)
+            # One private copy, shared by every rank: training must move
+            # neither the serial model nor a buffer once per rank.
+            weights = copy.deepcopy(_harvest_serial_weights(serial))
 
         self.embedding = LongContextEmbedding(
             config.vocab_size, config.hidden_size, config.seq_length,

@@ -32,6 +32,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..layers.transformer import Recompute
 from .serialize import dumps_json, to_jsonable
+from .timing import best_of_interleaved
+
+#: interleaved rounds behind ``timing.compiled_chain_speedup`` (floor 2.0),
+#: ~2.6 s.  A host's slow phases slow the replay arm more than the eager
+#: one (the ratio fell to 1.7-2.0 in them); the longer the window, the
+#: likelier it also catches a fast phase.
+CHAIN_TIMING_REPS = 401
 
 #: Bump when the BENCH document layout changes incompatibly; --check
 #: refuses to compare documents with mismatched schema versions.
@@ -362,8 +369,6 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
     exact, and the compiled-vs-eager loss drift on the real model is an
     exact 0.0.
     """
-    import time
-
     from ..config import ModelConfig
     from ..fusion import fusion_report, reset_arena
     from ..layers import GPTModel
@@ -399,33 +404,17 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
                                  seed=0, fused=fused)
         return model, Trainer(model, Adam(model.parameters(), lr=1e-3))
 
-    def _time_pair(make_trainer) -> Tuple[float, float]:
-        """Best unfused/fused step seconds, measured *interleaved* so a
-        load spike on the host hits both engines alike — the gated
+    def _time_pair(make_trainer) -> List[float]:
+        """Best unfused/fused step seconds, timed interleaved: the gated
         quantity is their ratio, which this keeps stable."""
-        import gc
-
-        trainers = []
+        steps_fns = []
         ids, targets = _data()
         for fused in (False, True):
             _, trainer = make_trainer(fused)
             for _ in range(2):  # warmup (allocator + arena steady state)
                 trainer.train_step(ids, targets)
-            trainers.append(trainer)
-        reps = max(9, steps)
-        best = [float("inf"), float("inf")]
-        was_enabled = gc.isenabled()
-        gc.disable()  # as timeit does: GC pauses dominate the noise
-        try:
-            for _ in range(reps):
-                for i, trainer in enumerate(trainers):
-                    t0 = time.perf_counter()
-                    trainer.train_step(ids, targets)
-                    best[i] = min(best[i], time.perf_counter() - t0)
-        finally:
-            if was_enabled:
-                gc.enable()
-        return best[0], best[1]
+            steps_fns.append(lambda t=trainer: t.train_step(ids, targets))
+        return best_of_interleaved(steps_fns, max(9, steps))
 
     serial_unfused, serial_fused = _time_pair(_serial)
     tp_unfused, tp_fused = _time_pair(_tensor_parallel)
@@ -461,8 +450,6 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
             trainer.train_step(ids, targets)
 
     # -- static-graph step compiler (repro.compiler) ---------------------
-    import gc
-
     import numpy as np
 
     from ..compiler import CaptureRecorder, PlanRuntime, capture_scope
@@ -513,28 +500,11 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
         _chain_step()
     chain_plan = chain_recorder.finalize(runtime=PlanRuntime())
 
-    def _best_of(pairs: List) -> List[float]:
-        """Interleaved best-of timing (same discipline as _time_pair)."""
-        reps = max(9, steps)
-        best = [float("inf")] * len(pairs)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                for i, fn in enumerate(pairs):
-                    t0 = time.perf_counter()
-                    fn()
-                    best[i] = min(best[i], time.perf_counter() - t0)
-        finally:
-            if was_enabled:
-                gc.enable()
-        return best
-
-    chain_eager_s, chain_replay_s = _best_of(
-        [_chain_step, chain_plan.replay])
-    train_eager_s, train_replay_s = _best_of(
+    chain_eager_s, chain_replay_s = best_of_interleaved(
+        [_chain_step, chain_plan.replay], max(CHAIN_TIMING_REPS, steps))
+    train_eager_s, train_replay_s = best_of_interleaved(
         [lambda: twin_eager.train_step(ids, targets),
-         lambda: twin_compiled.train_step(ids, targets)])
+         lambda: twin_compiled.train_step(ids, targets)], max(9, steps))
 
     doc = _base_doc("substrate", seed_value, steps, model_cfg, tp, 1)
     doc["timing"] = {
@@ -790,8 +760,6 @@ def _run_fleet_obs_preset(seed_value: int, steps: int) -> dict:
     ``timing.`` (ignored — machine-specific); the <5% disabled-overhead
     bound is asserted by ``benchmarks/bench_fleet_telemetry.py``.
     """
-    import time
-
     from ..config import ModelConfig
     from ..fleet import build_fleet
     from ..resilience import FaultKind, FaultPlan, FaultSpec
@@ -841,17 +809,11 @@ def _run_fleet_obs_preset(seed_value: int, steps: int) -> dict:
     request_trace_sha = hashlib.sha256(
         tracker.to_json().encode()).hexdigest()
 
-    # Wall-clock cost of the telemetry stack, best-of-N interleaved so a
-    # host load spike hits both arms alike.  Recorded, not gated here.
-    reps = max(3, steps)
-    best = {False: float("inf"), True: float("inf")}
-    for _ in range(reps):
-        for telemetry in (False, True):
-            timed_fleet, _, _, _ = _build(telemetry)
-            start = time.perf_counter()
-            timed_fleet.run(specs)
-            best[telemetry] = min(best[telemetry],
-                                  time.perf_counter() - start)
+    # Wall-clock cost of the telemetry stack (a fresh fleet per run,
+    # built untimed).  Recorded, not gated here.
+    best = dict(zip((False, True), best_of_interleaved(
+        [lambda fleet: fleet.run(specs)] * 2, max(3, steps),
+        setups=[lambda: _build(False)[0], lambda: _build(True)[0]])))
 
     doc = _base_doc("fleet_obs", seed_value, steps, model_cfg, 1, 1)
     doc["config"]["num_replicas"] = num_replicas
@@ -923,8 +885,6 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
     ``timing.`` (ignored — machine-specific); the <5% *disabled*
     overhead bound is asserted by ``benchmarks/bench_memprof.py``.
     """
-    import time
-
     from ..config import PAPER_CONFIGS, ModelConfig
     from .memprof import (MemProfiler, check_peak_attribution,
                           counter_events, frontier, frontier_by_category,
@@ -1001,24 +961,12 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
 
     # Enabled-profiler cost, interleaved best-of (ratio is stable; the
     # absolute numbers are machine-specific and ignored by the gate).
-    import gc
-
     from .analysis import memory_term_drift
-    reps = max(9, steps)
-    best = {"off": float("inf"), "on": float("inf")}
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            memory_term_drift(shapes["small"], 1, 2, True, Recompute.NONE)
-            best["off"] = min(best["off"], time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            profile_layer(shapes["small"], 1, 2, True, Recompute.NONE)
-            best["on"] = min(best["on"], time.perf_counter() - t0)
-    finally:
-        if was_enabled:
-            gc.enable()
+    best = dict(zip(("off", "on"), best_of_interleaved(
+        [lambda: memory_term_drift(shapes["small"], 1, 2, True,
+                                   Recompute.NONE),
+         lambda: profile_layer(shapes["small"], 1, 2, True, Recompute.NONE)],
+        max(9, steps))))
 
     doc = _base_doc("memprof", seed_value, steps, shapes["small"], 2, 1)
     doc["trace_hash"] = trace_hash(tracer, extra_events=events)

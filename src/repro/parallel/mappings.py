@@ -232,7 +232,7 @@ class AllGatherMatmul(Function):
         fctx.log_comm("ag_matmul", "all_gather",
                       _full_bytes(x, width, multiplier=self.group.size),
                       self.group.size, scope=self.group.scope)
-        out = [fi @ wi for fi, wi in zip(full, w)]
+        out = [bk.linear(fi, wi) for fi, wi in zip(full, w)]
         k = bk.shape_of(full[0])[-1]
         flops = 2.0 * bk.size_of(out[0]) * k
         fctx.misc["flops"] = flops
@@ -263,7 +263,7 @@ class AllGatherMatmul(Function):
                 dfull.append(bk.AbstractArray(bk.shape_of(fi)))
             else:
                 dw.append(np.reshape(fi, (-1, k)).T @ np.reshape(g, (-1, n)))
-                dfull.append(g @ wi.T)
+                dfull.append(bk.linear(g, wi.T))
         # Megatron issues this reduce-scatter asynchronously and overlaps
         # it with the weight-gradient GEMM (LinearWithGradAccumulationAnd-
         # AsyncCommunication), so it is marked overlapped.

@@ -127,6 +127,22 @@ def matmul_shape(a: Shape, b: Shape) -> Shape:
     return tuple(batch) + (a[-2], b[-1])
 
 
+def linear(x: ArrayLike, w: ArrayLike) -> ArrayLike:
+    """``x (..., k) @ w (k, n)`` for a 2-D ``w`` as one 2-D GEMM.
+
+    NumPy runs ``(s, b, k) @ (k, n)`` as ``s`` separate GEMMs of ``b``
+    rows; folding the leading axes into the row dimension runs a single
+    ``(s*b, k) @ (k, n)`` GEMM instead (1.9-2.9x faster at the
+    ``(64, 2, 128|512)`` training shapes of ``perfbench``).
+    Non-contiguous ``x`` is copied by the reshape; ``w`` may be any 2-D
+    view (e.g. ``w.T`` for a data gradient).
+    """
+    if isinstance(x, AbstractArray) or isinstance(w, AbstractArray):
+        return AbstractArray(matmul_shape(shape_of(x), shape_of(w)))
+    shape = x.shape
+    return (x.reshape(-1, shape[-1]) @ w).reshape(shape[:-1] + w.shape[1:])
+
+
 def _resolve_reshape(old: Shape, new: Sequence[int]) -> Shape:
     new = tuple(int(d) for d in new)
     old_size = int(math.prod(old))

@@ -158,8 +158,11 @@ class Matmul(Function):
         if self.save_x:
             fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1, category=self.category)
-        out = [xi @ wi for xi, wi in zip(x, w)]
         x_shape, w_shape = bk.shape_of(x[0]), bk.shape_of(w[0])
+        if len(w_shape) == 2:
+            out = [bk.linear(xi, wi) for xi, wi in zip(x, w)]
+        else:
+            out = [xi @ wi for xi, wi in zip(x, w)]
         fctx.misc["shapes"] = (x_shape, w_shape)
         k = x_shape[-1]
         flops = 2.0 * bk.size_of(out[0]) * k
@@ -178,8 +181,7 @@ class Matmul(Function):
         fctx.log_gemm(f"matmul[{self.category}].wgrad", flops_per_rank=flops)
         if len(w_shape) == 2:
             # Linear: x (..., k) @ w (k, n)
-            dx = [g @ bk.swap_last_two(wi) if len(bk.shape_of(wi)) > 1 else g
-                  for g, wi in zip(grad, w)]
+            dx = [bk.linear(g, wi.T) for g, wi in zip(grad, w)]
             dw = []
             for g, xi in zip(grad, x):
                 if bk.is_abstract(g) or bk.is_abstract(xi):

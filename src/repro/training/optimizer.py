@@ -24,9 +24,13 @@ from ..tensor import backend as bk
 class Adam:
     """Standard Adam with optional weight decay and gradient clipping.
 
-    Each parameter shard (one per rank) carries its own moment buffers;
-    replicated parameters receive identical gradients on every rank (after
-    :meth:`ParallelGPTModel.finish_grad_sync`) and therefore stay in sync.
+    Each distinct weight buffer carries one moment pair and is updated
+    once per step.  Sharded parameters own one buffer per rank.
+    Replicated parameters either hold a copy per rank, which receive
+    identical gradients (after the model's ``finish_grad_sync``) and so
+    stay in sync, or share one buffer across ranks (context
+    parallelism), which is updated once from the first rank's gradient.
+    The update runs in place through one scratch buffer per parameter.
     """
 
     def __init__(self, params: List[Tensor], lr: float = 1e-3,
@@ -44,6 +48,7 @@ class Adam:
         self.weight_decay = weight_decay
         self.grad_clip = grad_clip
         self.step_count = 0
+        # per parameter, per rank; ranks sharing a buffer share the arrays
         self._m: Dict[int, List[np.ndarray]] = {}
         self._v: Dict[int, List[np.ndarray]] = {}
 
@@ -64,6 +69,13 @@ class Adam:
                     total += float(np.sum(np.square(g)))
         return float(np.sqrt(total))
 
+    def set_moments(self, p: Tensor, m: List[np.ndarray],
+                    v: List[np.ndarray]) -> None:
+        """Install per-rank moments for ``p``; ranks that share a weight
+        buffer take the first such rank's pair."""
+        self._m[id(p)] = _per_buffer(p.shards, m)
+        self._v[id(p)] = _per_buffer(p.shards, v)
+
     def step(self) -> None:
         self.step_count += 1
         clip_coeff = 1.0
@@ -79,20 +91,42 @@ class Adam:
                 continue
             key = id(p)
             if key not in self._m:
-                self._m[key] = [np.zeros_like(np.asarray(s)) for s in p.shards]
-                self._v[key] = [np.zeros_like(np.asarray(s)) for s in p.shards]
-            for r in range(p.world):
-                g = np.asarray(p.grad[r]) * clip_coeff
+                self.set_moments(p, [np.zeros_like(s) for s in p.shards],
+                                 [np.zeros_like(s) for s in p.shards])
+            g, t = np.empty((2,) + p.shards[0].shape)  # update temporaries
+            updated = set()
+            for r, w in enumerate(p.shards):
+                if id(w) in updated:
+                    continue
+                updated.add(id(w))
+                m, v = self._m[key][r], self._v[key][r]
+                np.multiply(p.grad[r], clip_coeff, out=g)
                 if self.weight_decay:
-                    g = g + self.weight_decay * np.asarray(p.shards[r])
-                m = self._m[key][r]
-                v = self._v[key][r]
+                    np.multiply(w, self.weight_decay, out=t)
+                    g += t
                 m *= b1
-                m += (1 - b1) * g
+                np.multiply(g, 1 - b1, out=t)
+                m += t
                 v *= b2
-                v += (1 - b2) * np.square(g)
-                update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                p.shards[r] -= self.lr * update
+                np.square(g, out=t)
+                t *= 1 - b2
+                v += t
+                # (m / bias1) / (sqrt(v / bias2) + eps), scaled by lr
+                np.divide(v, bias2, out=t)
+                np.sqrt(t, out=t)
+                t += self.eps
+                np.divide(m, bias1, out=g)
+                g /= t
+                g *= self.lr
+                w -= g
+
+
+def _per_buffer(shards: List[np.ndarray],
+                arrays: List[np.ndarray]) -> List[np.ndarray]:
+    """``arrays`` with each rank's entry replaced by that of the first
+    rank holding the same weight buffer."""
+    first = {}
+    return [arrays[first.setdefault(id(s), r)] for r, s in enumerate(shards)]
 
 
 def flush_grads_through_fp16(params: List[Tensor]) -> bool:

@@ -150,15 +150,12 @@ def load_training_state(model: Module, optimizer: Adam, path: str) -> None:
                 np.copyto(param.shards[rank], archive[f"{name}{_SEP}{rank}"])
             m_key = f"__adam_m__{name}{_SEP}0"
             if m_key in archive.files:
-                key = id(param)
-                optimizer._m[key] = [
-                    archive[f"__adam_m__{name}{_SEP}{r}"].copy()
-                    for r in range(param.world)
-                ]
-                optimizer._v[key] = [
-                    archive[f"__adam_v__{name}{_SEP}{r}"].copy()
-                    for r in range(param.world)
-                ]
+                optimizer.set_moments(
+                    param,
+                    [archive[f"__adam_m__{name}{_SEP}{r}"].copy()
+                     for r in range(param.world)],
+                    [archive[f"__adam_v__{name}{_SEP}{r}"].copy()
+                     for r in range(param.world)])
         optimizer.step_count = int(archive["__optimizer_step__"])
 
 

@@ -196,7 +196,7 @@ class Trainer:
                 with span_or_null(tracer, "backward", microbatch=mb):
                     loss.backward(seed)
                 total += loss.item()
-            if isinstance(self.model, ParallelGPTModel):
+            if hasattr(self.model, "finish_grad_sync"):
                 with span_or_null(tracer, "grad_sync"):
                     self.model.finish_grad_sync()
             with span_or_null(tracer, "optimizer.step"):
@@ -234,7 +234,7 @@ class Trainer:
                               token_tensor(mb_targets, world=self.world).shards)
                 plan.replay()
             total = sum(plan.runtime.losses, 0.0)
-            if isinstance(self.model, ParallelGPTModel):
+            if hasattr(self.model, "finish_grad_sync"):
                 with span_or_null(tracer, "grad_sync"):
                     self.model.finish_grad_sync()
             with span_or_null(tracer, "optimizer.step"):

@@ -90,6 +90,59 @@ class TestMatmul:
         assert (AbstractArray((b, m, k)) @ AbstractArray((k, n))).shape == expected
 
 
+class TestLinear:
+    """``bk.linear`` runs ``x (..., k) @ w (k, n)`` as one 2-D GEMM."""
+
+    W = np.random.default_rng(5).standard_normal((6, 4))
+
+    @staticmethod
+    def _one_gemm(x, w):
+        return (np.ascontiguousarray(x).reshape(-1, x.shape[-1]) @ w
+                ).reshape(*x.shape[:-1], w.shape[-1])
+
+    def test_abstract_shapes(self):
+        out = bk.linear(AbstractArray((5, 2, 6)), AbstractArray((6, 4)))
+        assert isinstance(out, AbstractArray) and out.shape == (5, 2, 4)
+        out = bk.linear(np.zeros((5, 2, 6)), AbstractArray((6, 4)))
+        assert isinstance(out, AbstractArray) and out.shape == (5, 2, 4)
+        assert bk.linear(AbstractArray((5, 1, 6)),
+                         AbstractArray((4, 6)).T).shape == (5, 1, 4)
+        with pytest.raises(ShapeError):
+            bk.linear(AbstractArray((5, 2, 6)), AbstractArray((4, 6)))
+
+    @pytest.mark.parametrize("shape", [(5, 3, 6), (7, 1, 6), (2, 3, 4, 6)],
+                             ids=["sbh", "prefill_b1", "4d"])
+    def test_one_gemm_over_all_rows(self, shape):
+        x = np.random.default_rng(1).standard_normal(shape)
+        out = bk.linear(x, self.W)
+        assert out.shape == shape[:-1] + (4,)
+        np.testing.assert_array_equal(out, self._one_gemm(x, self.W))
+        np.testing.assert_allclose(out, x @ self.W, rtol=1e-12, atol=1e-12)
+
+    def test_non_contiguous_input(self):
+        base = np.random.default_rng(2).standard_normal((3, 5, 6))
+        x = base.transpose(1, 0, 2)           # (5, 3, 6) strided view
+        assert not x.flags.c_contiguous
+        before = base.copy()
+        out = bk.linear(x, self.W)
+        np.testing.assert_array_equal(out, self._one_gemm(x, self.W))
+        np.testing.assert_allclose(out, x @ self.W, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(base, before)
+
+    def test_transposed_weight_view(self):
+        g = np.random.default_rng(3).standard_normal((5, 3, 4))
+        w_t = self.W.T                         # the dgrad operand
+        assert not w_t.flags.c_contiguous
+        out = bk.linear(g, w_t)
+        assert out.shape == (5, 3, 6)
+        np.testing.assert_array_equal(out, self._one_gemm(g, w_t))
+        np.testing.assert_allclose(out, g @ w_t, rtol=1e-12, atol=1e-12)
+
+    def test_two_dimensional_input_is_plain_matmul(self):
+        x = np.random.default_rng(4).standard_normal((3, 6))
+        np.testing.assert_array_equal(bk.linear(x, self.W), x @ self.W)
+
+
 class TestReductionsAndReshape:
     @pytest.mark.parametrize("axis,keepdims", [
         (None, False), (None, True), (0, False), (1, True), (-1, False),

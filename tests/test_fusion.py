@@ -34,7 +34,7 @@ from repro.fusion import (
 )
 from repro.layers import GPTModel, Recompute, token_tensor
 from repro.parallel import ParallelGPTModel
-from repro.tensor import MemoryTracker, OpLog, from_numpy, instrument, seed
+from repro.tensor import MemoryTracker, OpLog, Tensor, from_numpy, instrument, seed
 from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
 
@@ -362,6 +362,62 @@ class TestViewSemantics:
         np.testing.assert_array_equal(np.asarray(b.grad[0]),
                                       np.full((1, 5), 4.0))
         np.testing.assert_array_equal(np.asarray(c.grad[0]), np.full(5, 4.0))
+
+
+class TestMaskedLaneSoftmax:
+    """The fused softmax runs ``exp`` only on kept lanes and writes +0.0
+    into masked ones; forward stays bitwise equal to the unfused
+    scale -> mask -> softmax -> dropout chain."""
+
+    TAG = "masked_lanes.softmax_dropout"
+
+    def _pair(self, shards, p_drop, mask_source, ring, shard_axis):
+        x_f = Tensor([s.copy() for s in shards], requires_grad=True)
+        fused = scale_mask_softmax_dropout(
+            x_f, 0.5, p_drop, mode="sharded", shard_axis=shard_axis,
+            tag=self.TAG, mask_source=mask_source, ring=ring)
+        x_u = Tensor([s.copy() for s in shards], requires_grad=True)
+        mask = F.offset_causal_mask if ring else F.causal_mask
+        drop = F.Dropout(p_drop, mode="sharded", shard_axis=shard_axis,
+                         tag=self.TAG, mask_source=mask_source)
+        unfused = F.apply(drop, F.softmax(mask(F.scale(x_u, 0.5))))
+        return (x_f, fused), (x_u, unfused)
+
+    def _check(self, shards, p_drop, mask_source, ring, shard_axis, keeps):
+        (x_f, fused), (x_u, unfused) = self._pair(
+            shards, p_drop, mask_source, ring, shard_axis)
+        for keep, a, b in zip(keeps, fused.shards, unfused.shards):
+            a, b = np.asarray(a), np.asarray(b)
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+            masked = np.broadcast_to(~keep, a.shape)
+            assert np.all(a[masked] == 0.0) and not np.signbit(a).any()
+        F.sum_all(F.mul(fused, fused)).backward()
+        F.sum_all(F.mul(unfused, unfused)).backward()
+        for a, b in zip(x_f.grad, x_u.grad):
+            np.testing.assert_allclose(np.asarray(a), np.asarray(b),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    @pytest.mark.parametrize("mask_source", [None, MS],
+                             ids=["no_dropout", "dropout"])
+    def test_ring_panels_every_rank_offset(self, world, mask_source):
+        rows = 3
+        shards = [rng.standard_normal((2, 2, rows, rows * world))
+                  for _ in range(world)]
+        keeps = [np.tril(np.ones((rows, rows * world), dtype=bool),
+                         k=r * rows) for r in range(world)]
+        self._check(shards, 0.0 if mask_source is None else 0.1,
+                    mask_source, ring=True, shard_axis=2, keeps=keeps)
+
+    @pytest.mark.parametrize("world", [1, 2])
+    @pytest.mark.parametrize("mask_source", [None, MS],
+                             ids=["no_dropout", "dropout"])
+    def test_causal_squares(self, world, mask_source):
+        shards = [rng.standard_normal((2, 3, 5, 5)) for _ in range(world)]
+        keeps = [np.tril(np.ones((5, 5), dtype=bool))] * world
+        self._check(shards, 0.0 if mask_source is None else 0.1,
+                    mask_source, ring=False, shard_axis=1, keeps=keeps)
 
 
 class TestMaskSourceCache:

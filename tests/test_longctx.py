@@ -39,6 +39,7 @@ from repro.pipeline_sim import (
 from repro.tensor import Tensor, from_numpy
 from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
+from repro.training import Adam, Trainer
 
 from helpers import TINY, random_tokens
 
@@ -339,3 +340,68 @@ class TestModelValidation:
                                 serial=model_s)
         loss = m(token_tensor(ids, world=8), token_tensor(tgt, world=8))
         assert loss.item() == loss_s
+
+
+class TestContextParallelTraining:
+    """CP training follows serial training step for step, and the
+    serial model a CP model was built from stays untouched."""
+
+    @pytest.mark.parametrize("layout", ["ring", "ulysses"])
+    def test_adam_steps_match_serial(self, layout):
+        p = 4
+        reference = GPTModel(TINY, seed=4, mask_source=MS)
+        donor = GPTModel(TINY, seed=4, mask_source=MS)
+        donor_before = {n: np.array(t.shards[0])
+                        for n, t in donor.named_parameters()}
+        cp = LongContextGPTModel(TINY, context_parallel=p, layout=layout,
+                                 recompute=Recompute.SELECTIVE,
+                                 mask_source=MS, serial=donor)
+        opt_ref = Adam(reference.parameters(), lr=1e-2)
+        opt_cp = Adam(cp.parameters(), lr=1e-2)
+        data = np.random.default_rng(8)
+        for _ in range(3):
+            ids = random_tokens(data, TINY.vocab_size, TINY.seq_length, 2)
+            tgt = random_tokens(data, TINY.vocab_size, TINY.seq_length, 2)
+            opt_ref.zero_grad()
+            loss_ref = reference(token_tensor(ids), token_tensor(tgt))
+            loss_ref.backward()
+            opt_ref.step()
+            opt_cp.zero_grad()
+            loss_cp = cp(token_tensor(ids, world=p),
+                         token_tensor(tgt, world=p))
+            loss_cp.backward()
+            cp.finish_grad_sync()
+            opt_cp.step()
+            assert abs(loss_cp.item() - loss_ref.item()) <= 1e-9
+        ref_params = dict(reference.named_parameters())
+        for name, param in cp.named_parameters():
+            for shard in param.shards:
+                np.testing.assert_allclose(shard, ref_params[name].shards[0],
+                                           rtol=0, atol=1e-9, err_msg=name)
+        for name, param in donor.named_parameters():
+            np.testing.assert_array_equal(param.shards[0], donor_before[name])
+
+    def test_trainer_step_equals_benchmark_step(self):
+        """``Trainer`` syncs CP gradients itself: its step is bitwise the
+        step ``perfbench/workloads.py`` spells out for train_cp4_ring."""
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+
+        bench = workloads.TrainCP4Ring(seed=3)
+        model = LongContextGPTModel(
+            bench.cfg, context_parallel=bench.world, layout="ring",
+            recompute=Recompute.SELECTIVE, seed=workloads.WEIGHT_SEED,
+            mask_source=workloads.MASKS, fused=True)
+        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
+        for _ in range(2):
+            ids, tgt = bench.data.batch(bench.batch)
+            assert trainer.train_step(ids, tgt) == bench.step(ids, tgt)
+        for a, b in zip(model.parameters(), bench.model.parameters()):
+            for x, y in zip(a.shards, b.shards):
+                np.testing.assert_array_equal(x, y)

@@ -55,6 +55,70 @@ class TestAdam:
         Adam([w]).step()
         np.testing.assert_array_equal(np.asarray(w.shards[0]), np.ones(3))
 
+    @pytest.mark.parametrize("weight_decay,grad_clip",
+                             [(0.0, None), (0.01, 0.5)])
+    def test_in_place_step_matches_textbook_formula(self, weight_decay,
+                                                    grad_clip):
+        """The in-place update is bitwise the allocate-per-op Adam
+        formula on every rank-owned TP shard, over several steps."""
+        cfg = ModelConfig(num_layers=1, hidden_size=16, num_heads=4,
+                          seq_length=8, vocab_size=16)
+        model = ParallelGPTModel(cfg, tensor_parallel=2,
+                                 sequence_parallel=True,
+                                 attention_dropout=0.0, hidden_dropout=0.0)
+        params = model.parameters()
+        opt = Adam(params, lr=1e-2, weight_decay=weight_decay,
+                   grad_clip=grad_clip)
+        ref_w = [[np.array(s) for s in p.shards] for p in params]
+        ref_m = [[np.zeros_like(s) for s in p.shards] for p in params]
+        ref_v = [[np.zeros_like(s) for s in p.shards] for p in params]
+        rng = np.random.default_rng(0)
+        b1, b2 = opt.beta1, opt.beta2
+        for step in range(1, 4):
+            ids = rng.integers(0, cfg.vocab_size, size=(cfg.seq_length, 2))
+            tgt = rng.integers(0, cfg.vocab_size, size=(cfg.seq_length, 2))
+            opt.zero_grad()
+            model(token_tensor(ids, world=2),
+                  token_tensor(tgt, world=2)).backward()
+            model.finish_grad_sync()
+            clip = 1.0
+            if grad_clip is not None and opt.global_grad_norm() > grad_clip:
+                clip = grad_clip / (opt.global_grad_norm() + 1e-12)
+            for p, ws, ms, vs in zip(params, ref_w, ref_m, ref_v):
+                for r in range(p.world):
+                    g = np.asarray(p.grad[r]) * clip
+                    if weight_decay:
+                        g = g + weight_decay * ws[r]
+                    ms[r] *= b1
+                    ms[r] += (1 - b1) * g
+                    vs[r] *= b2
+                    vs[r] += (1 - b2) * np.square(g)
+                    update = ((ms[r] / (1.0 - b1 ** step))
+                              / (np.sqrt(vs[r] / (1.0 - b2 ** step))
+                                 + opt.eps))
+                    ws[r] -= opt.lr * update
+            opt.step()
+            for p, ws in zip(params, ref_w):
+                assert len({id(s) for s in p.shards}) == p.world
+                for shard, expected in zip(p.shards, ws):
+                    np.testing.assert_array_equal(shard, expected)
+
+    def test_shared_buffer_updated_once(self):
+        """Ranks that share one weight buffer (context parallelism) get
+        one moment pair and one update, equal to a single-rank step."""
+        buf = np.array([1.0, -2.0, 0.5])
+        shared = parameter([buf] * 4, layout="replicated")
+        single = parameter([buf.copy()])
+        grad = np.array([0.3, -0.1, 2.0])
+        opt_shared, opt_single = Adam([shared], lr=0.1), Adam([single], lr=0.1)
+        for _ in range(3):
+            shared.grad = [grad.copy() for _ in range(4)]
+            single.grad = [grad.copy()]
+            opt_shared.step()
+            opt_single.step()
+        assert all(s is buf for s in shared.shards)
+        np.testing.assert_array_equal(buf, single.shards[0])
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             Adam([], lr=0.1)
